@@ -88,10 +88,9 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--seed", type=int, default=None)
     simulate.add_argument("--backend",
                           choices=("auto", "reference", "vectorized",
-                                   "protocol", "batched", "numba"),
+                                   "protocol"),
                           default="auto",
-                          help="execution backend (default: auto-dispatch; "
-                               "numba falls back to numpy when absent)")
+                          help="execution backend (default: auto-dispatch)")
     simulate.add_argument("--faults", metavar="SPEC", default=None,
                           help="chaos-run the wire protocol under a seeded "
                                "fault schedule, e.g. "

@@ -1,12 +1,11 @@
 """Batched kernels: B same-length schedules in one numpy pass.
 
-The vectorized kernels of :mod:`repro.core.vectorized` remove the
-per-request Python loop; a parameter sweep still pays a per-schedule
-Python round trip — one kernel launch, one bincount, one result object
-per grid point.  This module removes the per-schedule loop too: B
-schedules of common length N stack into a ``(B, N)`` write matrix and
-every kernel generalizes along ``axis=1``, so a whole sweep chunk is a
-handful of array ops regardless of B.
+These are the one array implementation of every closed-form rule
+(ST1, ST2, SW1, SWk, T1m, T2m).  B schedules of common length N stack
+into a ``(B, N)`` write matrix and every kernel works along ``axis=1``,
+so a whole sweep chunk is a handful of array ops regardless of B; a
+single schedule is a one-row launch (see
+:func:`repro.core.vectorized.fast_run_arrays`).
 
 On top of the batch sit *sufficient-statistic parameter scans*.  The
 cost of SWk depends only on prefix-summed window write counts, the cost
@@ -22,9 +21,9 @@ and ω in a range:
 * :func:`scan_omega_totals` — each additional ω is an O(B) kind-order
   accumulation over the fixed ``(B, 6)`` count matrix.
 
-The contract is exact equality with the per-schedule vectorized kernels
-(and therefore with the reference replay), row by row, event kind by
-event kind; totals go through the same kind-order accumulation as
+The contract is exact equality with the reference replay
+(:mod:`repro.core.replay`), row by row, event kind by event kind;
+totals go through the same kind-order accumulation as
 :func:`repro.engine.base.total_from_counts`, so equal counts give
 byte-identical floats.
 """
@@ -119,7 +118,7 @@ def _as_matrix(writes: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Batched kernels (axis=1 generalizations of repro.core.vectorized)
+# Batched kernels
 # ---------------------------------------------------------------------------
 
 
@@ -149,17 +148,6 @@ def _batched_sw1(writes):
     return codes, ~writes
 
 
-def _swk_copy_after(writes, cumulative, k: int) -> np.ndarray:
-    """``copy_after`` for window size k from a shared row-wise cumsum.
-
-    The accumulator dtype follows ``cumulative`` — int32 on every
-    realistic length, promoted to int64 by :func:`accumulator_dtype`
-    once window counts could no longer provably fit (the counting
-    mirror of the simulator's ``max_events`` runaway guard).
-    """
-    return _window_copy_after(cumulative, k)
-
-
 def _swk_codes_from_copy(writes, copy_after):
     had_copy = np.empty(writes.shape, dtype=bool)
     had_copy[:, 0] = False  # initial window is all writes
@@ -175,10 +163,12 @@ def _swk_codes_from_copy(writes, copy_after):
 
 def _batched_swk(writes, k: int):
     ensure_odd_window(k)
+    # int32 on every realistic length, promoted to int64 once window
+    # counts could no longer provably fit (see accumulator_dtype).
     cumulative = np.cumsum(
         writes, axis=1, dtype=accumulator_dtype(writes.shape[1])
     )
-    return _swk_codes_from_copy(writes, _swk_copy_after(writes, cumulative, k))
+    return _swk_codes_from_copy(writes, _window_copy_after(cumulative, k))
 
 
 def _read_run_positions_matrix(writes) -> np.ndarray:
@@ -236,8 +226,7 @@ def batched_run_arrays(
 
     ``writes`` is a ``(B, N)`` bool matrix (row = schedule); the return
     is ``(codes, copy_after)``, both ``(B, N)``, with row ``b`` exactly
-    equal to :func:`repro.core.vectorized.fast_run_arrays` on schedule
-    ``b``.
+    the reference replay's event kinds and schemes on schedule ``b``.
     """
     writes = _as_matrix(writes)
     lowered = algorithm_name.strip().lower()
@@ -356,7 +345,7 @@ def scan_window_counts(
             codes, _copy = _batched_sw1(writes)
         else:
             codes, _copy = _swk_codes_from_copy(
-                writes, _swk_copy_after(writes, cumulative, int(k))
+                writes, _window_copy_after(cumulative, int(k))
             )
         out[slot] = batched_counts(codes, warmup)
     return out

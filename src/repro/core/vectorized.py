@@ -1,4 +1,4 @@
-"""Vectorized replay for bulk parameter sweeps.
+"""Per-schedule vectorized replay and the kernels' shared vocabulary.
 
 The object-per-request replay of :mod:`repro.core.replay` is the
 reference implementation; Monte-Carlo sweeps over millions of requests
@@ -12,6 +12,12 @@ the opposite operation's indices recovers without a loop either.
 Supported algorithms: ``st1``, ``st2``, ``sw1``, ``swK``, ``t1_M`` and
 ``t2_M``.  The estimator methods (EWMA, hysteresis windows) carry
 genuinely sequential state and stay on the reference path.
+
+Each rule has one array implementation, the ``(B, N)`` kernels of
+:mod:`repro.core.batched`; the functions here run a single schedule as
+a one-row launch of them.  This module owns what every kernel shares:
+:data:`EVENT_KIND_ORDER` and its integer codes, the algorithm-name
+patterns and :func:`supports`.
 
 The contract — verified by tests and by the throughput benchmark —
 is exact equality with :func:`repro.core.replay.replay`, event kind by
@@ -27,12 +33,11 @@ from typing import Tuple
 import numpy as np
 
 from ..costmodels.base import CostEventKind, CostModel
-from ..exceptions import InvalidParameterError, UnknownAlgorithmError
-from ..types import Schedule, ensure_odd_window, write_bits
+from ..exceptions import InvalidParameterError
+from ..types import Schedule, write_bits
 
 __all__ = [
     "EVENT_KIND_ORDER",
-    "fast_cost_array",
     "fast_event_kinds",
     "fast_run_arrays",
     "fast_total_cost",
@@ -71,137 +76,15 @@ def supports(algorithm_name: str) -> bool:
     )
 
 
-# The canonical mask conversion lives in repro.types; this alias keeps
-# the kernel-internal name stable.
-_write_bits = write_bits
-
-
-def _codes_static_one(writes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    codes = np.where(writes, _WRITE_NO_COPY, _REMOTE_READ)
-    return codes, np.zeros(writes.size, dtype=bool)
-
-
-def _codes_static_two(writes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    codes = np.where(writes, _WRITE_PROPAGATED, _LOCAL_READ)
-    return codes, np.ones(writes.size, dtype=bool)
-
-
-def _codes_sw1(writes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    # The MC holds a copy iff the previous request was a read; the
-    # initial state is no-copy.
-    had_copy = np.empty_like(writes)
-    had_copy[0] = False
-    np.logical_not(writes[:-1], out=had_copy[1:])
-    codes = np.select(
-        [
-            ~writes & had_copy,
-            ~writes & ~had_copy,
-            writes & ~had_copy,
-        ],
-        [_LOCAL_READ, _REMOTE_READ, _WRITE_NO_COPY],
-        default=_WRITE_DELETE_REQUEST,
-    )
-    return codes, ~writes
-
-
-def _codes_swk(writes: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
-    ensure_odd_window(k)
-    n = (k - 1) // 2
-    length = writes.size
-    # Rolling write counts against the all-writes initial window:
-    # count_after[i] = writes in the window right after request i, i.e.
-    # writes[i-k+1 .. i] with negative indices counting as (virtual)
-    # writes.  int32 cumsum straight over the bool mask — no padded
-    # copy, no int64 temporaries (this path is the 1M-request hot loop).
-    cumulative = np.cumsum(writes, dtype=np.int32)
-    count_after = np.empty(length, dtype=np.int32)
-    count_after[k:] = cumulative[k:] - cumulative[:-k]
-    lead = min(k, length)
-    count_after[:lead] = cumulative[:lead] + np.arange(
-        k - 1, k - 1 - lead, -1, dtype=np.int32
-    )
-    copy_after = count_after <= n
-    had_copy = np.empty(length, dtype=bool)
-    had_copy[0] = False  # initial window is all writes
-    had_copy[1:] = copy_after[:-1]
-    # Branch-free code arithmetic (cheaper than np.select at 1M+):
-    #   reads:  LOCAL_READ (0) with a copy, REMOTE_READ (1) without;
-    #   writes: WRITE_NO_COPY (2) without a copy, +1 with a copy
-    #           (WRITE_PROPAGATED), +1 more if the window majority
-    #           flipped (WRITE_PROPAGATED_DEALLOCATE).
-    had = had_copy.view(np.int8)
-    codes = np.where(
-        writes,
-        _WRITE_NO_COPY + had + (had_copy & ~copy_after),
-        _REMOTE_READ - had,
-    )
-    return codes, copy_after
-
-
 def _ensure_threshold(m: int) -> int:
     if m < 1:
         raise InvalidParameterError(f"threshold m must be >= 1, got {m}")
     return m
 
 
-def _read_run_positions(writes: np.ndarray) -> np.ndarray:
-    """1-based position of each request within its current read run.
-
-    ``pos[i] = i - (index of the last write at or before i)``; for a
-    read this is its position in the maximal read run containing it,
-    counted from the run's start.
-    """
-    indices = np.arange(writes.size, dtype=np.int64)
-    last_write = np.maximum.accumulate(np.where(writes, indices, -1))
-    return indices - last_write
-
-
-def _codes_t1(writes: np.ndarray, m: int) -> Tuple[np.ndarray, np.ndarray]:
-    # T1m is a pure function of the read-run position: the first m
-    # reads of a run go remote (the m-th piggybacks the copy), the rest
-    # are local; a write deallocates via delete-request iff it directly
-    # follows a read run of length >= m.  Every read run starts without
-    # a copy because every write forces the one-copy scheme.
-    _ensure_threshold(m)
-    position = _read_run_positions(writes)
-    read_codes = np.where(position <= m, _REMOTE_READ, _LOCAL_READ)
-    follows_saturated_run = np.zeros(writes.size, dtype=bool)
-    follows_saturated_run[1:] = ~writes[:-1] & (position[:-1] >= m)
-    write_codes = np.where(
-        follows_saturated_run, _WRITE_DELETE_REQUEST, _WRITE_NO_COPY
-    )
-    codes = np.where(writes, write_codes, read_codes)
-    copy_after = ~writes & (position >= m)
-    return codes, copy_after
-
-
-def _codes_t2(writes: np.ndarray, m: int) -> Tuple[np.ndarray, np.ndarray]:
-    # T2m is the symmetric function of the write-run position: every
-    # write run starts with the MC holding a copy (reads always end
-    # holding one, and the initial scheme is two-copies), so writes
-    # 1..m-1 of a run are propagated, the m-th propagates and
-    # deallocates, and later writes find no copy.  A read is remote iff
-    # the write run directly before it reached m.
-    _ensure_threshold(m)
-    indices = np.arange(writes.size, dtype=np.int64)
-    last_read = np.maximum.accumulate(np.where(writes, -1, indices))
-    position = indices - last_read
-    write_codes = np.select(
-        [position < m, position == m],
-        [_WRITE_PROPAGATED, _WRITE_PROPAGATED_DEALLOCATE],
-        default=_WRITE_NO_COPY,
-    )
-    lost_copy = np.zeros(writes.size, dtype=bool)
-    lost_copy[1:] = writes[:-1] & (position[:-1] >= m)
-    read_codes = np.where(lost_copy, _REMOTE_READ, _LOCAL_READ)
-    codes = np.where(writes, write_codes, read_codes)
-    copy_after = np.where(writes, position < m, True)
-    return codes, copy_after
-
-
 def fast_event_kinds(algorithm_name: str, schedule: Schedule) -> Tuple[CostEventKind, ...]:
     """The per-request cost events, computed without a Python loop."""
-    codes = _fast_codes(algorithm_name, schedule)
+    codes, _copy_after = fast_run_arrays(algorithm_name, schedule)
     return tuple(_KINDS[code] for code in codes)
 
 
@@ -214,41 +97,15 @@ def fast_run_arrays(
     :data:`EVENT_KIND_ORDER` and ``copy_after[i]`` says whether the MC
     holds a replica *after* serving request ``i`` (the vectorized
     analogue of :attr:`~repro.core.replay.ReplayResult.schemes`).
+    A one-row launch of :func:`repro.core.batched.batched_run_arrays`.
     """
-    return _fast_codes_and_copy(algorithm_name, schedule)
+    # Imported here: repro.core.batched imports this module's constants.
+    from .batched import batched_run_arrays
 
-
-def _fast_codes(algorithm_name: str, schedule: Schedule) -> np.ndarray:
-    codes, _copy_after = _fast_codes_and_copy(algorithm_name, schedule)
-    return codes
-
-
-def _fast_codes_and_copy(
-    algorithm_name: str, schedule: Schedule
-) -> Tuple[np.ndarray, np.ndarray]:
-    lowered = algorithm_name.strip().lower()
-    if len(schedule) == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, np.empty(0, dtype=bool)
-    writes = _write_bits(schedule)
-    if lowered == "st1":
-        return _codes_static_one(writes)
-    if lowered == "st2":
-        return _codes_static_two(writes)
-    if lowered == "sw1":
-        return _codes_sw1(writes)
-    match = _SW_PATTERN.match(lowered)
-    if match:
-        return _codes_swk(writes, int(match.group(1)))
-    match = _T1_PATTERN.match(lowered)
-    if match:
-        return _codes_t1(writes, int(match.group(1)))
-    match = _T2_PATTERN.match(lowered)
-    if match:
-        return _codes_t2(writes, int(match.group(1)))
-    raise UnknownAlgorithmError(
-        f"no vectorized path for {algorithm_name!r}; use repro.core.replay"
+    codes, copy_after = batched_run_arrays(
+        algorithm_name, write_bits(schedule)[None, :]
     )
+    return codes[0], copy_after[0]
 
 
 def fast_total_cost(
@@ -257,17 +114,6 @@ def fast_total_cost(
     cost_model: CostModel,
 ) -> float:
     """Total cost of a run, exactly equal to the reference replay's."""
-    codes = _fast_codes(algorithm_name, schedule)
+    codes, _copy_after = fast_run_arrays(algorithm_name, schedule)
     prices = np.array([cost_model.price(kind) for kind in _KINDS])
     return float(prices[codes].sum())
-
-
-def fast_cost_array(
-    algorithm_name: str,
-    schedule: Schedule,
-    cost_model: CostModel,
-) -> np.ndarray:
-    """Per-request charges as a numpy array (reference-replay exact)."""
-    codes = _fast_codes(algorithm_name, schedule)
-    prices = np.array([cost_model.price(kind) for kind in _KINDS])
-    return prices[codes]

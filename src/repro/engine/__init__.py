@@ -1,9 +1,9 @@
-"""The unified execution engine: one run path, five backends.
+"""The unified execution engine: one run path, three backends.
 
 Every way of executing a schedule — the reference object replay, the
-numpy vectorized kernels, the discrete-event wire protocol, the batched
-multi-schedule kernels and their optional numba build — sits behind one
-dispatching entry point::
+numpy kernels (one schedule per launch, or a whole ``(B, N)`` group
+through :func:`run_batched_masks`) and the discrete-event wire
+protocol — sits behind one dispatching entry point::
 
     from repro import engine
     from repro.costmodels import ConnectionCostModel
@@ -43,8 +43,6 @@ from .dispatch import AUTO, run
 from ..core.packed import PackedMasks, pack_write_masks
 from .batched import (
     BatchSpec,
-    BatchedBackend,
-    NumbaBackend,
     execute_batch,
     kernel_threads,
     run_batched_masks,
@@ -67,9 +65,7 @@ from .instrumentation import (
 )
 from .versioning import INITIAL_VALUE, INITIAL_VERSION, value_for_write
 
-# Importing the backends module registers the three per-schedule
-# implementations (the batched module, imported above, registers the
-# batched and numba backends after them).
+# Importing the backends module registers the three backends.
 from . import backends as _backends  # noqa: F401  (import for side effect)
 
 __all__ = [
@@ -96,8 +92,6 @@ __all__ = [
     "default_cache_dir",
     "digest_parts",
     "BatchSpec",
-    "BatchedBackend",
-    "NumbaBackend",
     "PackedMasks",
     "execute_batch",
     "kernel_threads",

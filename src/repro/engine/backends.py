@@ -2,9 +2,11 @@
 
 * ``reference`` — the object-per-request state machine replay; runs
   every algorithm, tracks schemes, the implementation of record.
-* ``vectorized`` — the numpy kernels of :mod:`repro.core.vectorized`;
-  runs the algorithms whose cost sequence is a closed function of the
-  recent request pattern (statics, SWk family, T1m/T2m).
+* ``vectorized`` — the numpy kernels of :mod:`repro.core.batched`,
+  launched as one row per schedule here and as whole groups by
+  :mod:`repro.engine.batched`; runs the algorithms whose cost sequence
+  is a closed function of the recent request pattern (statics, SWk
+  family, T1m/T2m).
 * ``protocol`` — the discrete-event two-node simulator of
   :mod:`repro.sim.runner`; runs everything with wire deciders and
   re-derives event kinds from actual message traffic.
@@ -37,6 +39,29 @@ from .base import (
 from .instrumentation import wants_per_request
 
 __all__ = ["ReferenceBackend", "VectorizedBackend", "ProtocolBackend"]
+
+
+def lazy_row_views(codes, copy_after, prices):
+    """The deferred ``materialize`` callback of one kernel row.
+
+    The tuple-of-objects views are built from the arrays only if the
+    caller reads them, so a plain run over a million requests stays at
+    array speed.
+    """
+
+    def materialize():
+        event_kinds = tuple(EVENT_KIND_ORDER[code] for code in codes)
+        events = tuple(
+            CostEvent(kind, prices[code])
+            for kind, code in zip(event_kinds, codes)
+        )
+        schemes = tuple(
+            AllocationScheme.TWO_COPIES if flag else AllocationScheme.ONE_COPY
+            for flag in copy_after
+        )
+        return events, event_kinds, schemes
+
+    return materialize
 
 
 class ReferenceBackend(ExecutionBackend):
@@ -112,25 +137,6 @@ class VectorizedBackend(ExecutionBackend):
                 instrumentation.on_request(
                     index, EVENT_KIND_ORDER[code], prices[code]
                 )
-        materialize = None
-        if not spec.stream:
-            # Deferred: tuple-of-objects views are built from the arrays
-            # only if the caller reads them, so a plain run() over a
-            # million requests stays at array speed.
-            def materialize(codes=codes, copy_after=copy_after, prices=prices):
-                event_kinds = tuple(EVENT_KIND_ORDER[code] for code in codes)
-                events = tuple(
-                    CostEvent(kind, prices[code])
-                    for kind, code in zip(event_kinds, codes)
-                )
-                schemes = tuple(
-                    AllocationScheme.TWO_COPIES
-                    if flag
-                    else AllocationScheme.ONE_COPY
-                    for flag in copy_after
-                )
-                return events, event_kinds, schemes
-
         return EngineResult(
             algorithm_name=spec.algorithm_name,
             backend_name=self.name,
@@ -139,7 +145,10 @@ class VectorizedBackend(ExecutionBackend):
             total_cost=total_from_counts(counts, spec.cost_model),
             event_counts=counts,
             scheme_changes=scheme_changes,
-            materialize=materialize,
+            materialize=(
+                None if spec.stream
+                else lazy_row_views(codes, copy_after, prices)
+            ),
         )
 
 

@@ -27,18 +27,15 @@ Two execution tiers sit under :func:`run_batched_masks`:
 * **Threaded row tiles.**  The ``(B, N)`` grid splits into row tiles
   fanned across a ``ThreadPoolExecutor`` — the kernels are
   embarrassingly parallel over rows and numpy releases the GIL, so
-  threads scale on real cores.  ``threads``/``tile_rows`` arguments and
-  the ``REPRO_KERNEL_THREADS`` environment variable control the fan;
-  every tile writes disjoint slices of preallocated outputs, so the
-  serial and threaded results are identical by construction.
+  threads scale on real cores.  The ``threads`` argument and the
+  ``REPRO_KERNEL_THREADS`` environment variable control the fan; every
+  tile writes disjoint slices of preallocated outputs, so the serial
+  and threaded results are identical by construction.
 
-:class:`BatchedBackend` registers the same kernels as a fourth engine
-backend (``backend="batched"``), for forcing and for the cross-backend
-equivalence tests; :class:`NumbaBackend` registers the optional
-``@njit`` SWk rolling-count build (``backend="numba"``) with a
-transparent numpy fallback when numba is absent.  The auto dispatcher
-keeps picking ``vectorized`` for single runs; batching is the sweep
-layer's decision.
+The kernels are the ``vectorized`` backend's (a single run is a
+one-row launch of them), so every result reports
+``backend_name="vectorized"``.  The auto dispatcher runs single
+schedules one at a time; batching is the sweep layer's decision.
 """
 
 from __future__ import annotations
@@ -51,7 +48,6 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..core import numba_kernels
 from ..core.batched import (
     batched_counts,
     batched_run_arrays,
@@ -60,28 +56,15 @@ from ..core.batched import (
 from ..core.batched import supports as batched_supports
 from ..core.packed import PackedMasks, pack_write_masks, packed_run_counts
 from ..core.vectorized import EVENT_KIND_ORDER
-from ..costmodels.base import CostEvent, CostModel
+from ..costmodels.base import CostModel
 from ..exceptions import InvalidParameterError
-from ..types import AllocationScheme
-from .base import (
-    EngineResult,
-    ExecutionBackend,
-    RunSpec,
-    register_backend,
-    total_from_counts,
-)
+from .backends import VectorizedBackend, lazy_row_views
+from .base import EngineResult, RunSpec, total_from_counts
 from .dispatch import run as dispatch_run
 from .instrumentation import Instrumentation, wants_per_request
 
-# The three per-schedule backends must register before the batched one
-# so ``available_backends()`` order is stable regardless of which
-# engine submodule a caller imports first.
-from . import backends as _backends  # noqa: F401  (import for side effect)
-
 __all__ = [
     "BatchSpec",
-    "BatchedBackend",
-    "NumbaBackend",
     "execute_batch",
     "run_batched_masks",
     "kernel_threads",
@@ -172,26 +155,16 @@ def _spec_batchable(spec: RunSpec) -> bool:
     )
 
 
-def _row_tiles(
-    batch: int, tile_rows: Optional[int], threads: int
-) -> List[Tuple[int, int]]:
+def _row_tiles(batch: int, threads: int) -> List[Tuple[int, int]]:
     """Split ``batch`` rows into ``[start, stop)`` tiles.
 
-    The default tile height is :data:`DEFAULT_TILE_ROWS`, shrunk so a
-    small batch still yields one tile per thread; an explicit
-    ``tile_rows`` is taken as given (the ragged last tile is fine).
+    The tile height is :data:`DEFAULT_TILE_ROWS`, shrunk so a small
+    batch still yields one tile per thread (the last tile may be
+    shorter).
     """
     if batch == 0:
         return []
-    if tile_rows is None:
-        tile_rows = max(
-            1, min(DEFAULT_TILE_ROWS, -(-batch // max(threads, 1)))
-        )
-    elif not isinstance(tile_rows, int) or isinstance(tile_rows, bool) \
-            or tile_rows < 1:
-        raise InvalidParameterError(
-            f"tile_rows must be a positive int, got {tile_rows!r}"
-        )
+    tile_rows = max(1, min(DEFAULT_TILE_ROWS, -(-batch // max(threads, 1))))
     return [
         (start, min(start + tile_rows, batch))
         for start in range(0, batch, tile_rows)
@@ -224,9 +197,6 @@ def _kernel_results(
     instrumentation,
     arrays_sink: Optional[dict] = None,
     threads: int = 1,
-    tile_rows: Optional[int] = None,
-    run_arrays=None,
-    backend_name: Optional[str] = None,
     auto_threads: bool = False,
 ) -> List[EngineResult]:
     """Run the batch kernels and build one result per row.
@@ -234,9 +204,8 @@ def _kernel_results(
     ``writes`` is a ``(B, N)`` bool matrix or a
     :class:`~repro.core.packed.PackedMasks`.  Fires only the
     per-request trace hook (when an instrument listens); run lifecycle
-    hooks, timing and dispatch reasons belong to the callers — the
-    dispatcher for single forced runs, :func:`run_batched_masks` for
-    whole groups.
+    hooks, timing and dispatch reasons belong to
+    :func:`run_batched_masks`.
     """
     packed = writes if isinstance(writes, PackedMasks) else None
     batch, length = (packed.shape if packed is not None else writes.shape)
@@ -250,14 +219,13 @@ def _kernel_results(
     need_codes = trace or not stream or arrays_sink is not None
     if auto_threads and batch * length < _MIN_AUTO_PARALLEL_ELEMENTS:
         threads = 1
-    tiles = _row_tiles(batch, tile_rows, threads)
-    kernels = run_arrays if run_arrays is not None else batched_run_arrays
+    tiles = _row_tiles(batch, threads)
 
     counts_matrix = np.zeros((batch, len(EVENT_KIND_ORDER)), dtype=np.int64)
     flips = np.zeros(batch, dtype=np.int64)
     codes = copy_after = None
 
-    if packed is not None and not need_codes and run_arrays is None:
+    if packed is not None and not need_codes:
         # Packed counts tier: aggregates straight off the bits.
         def compute_tile(start: int, stop: int) -> None:
             tile_counts, tile_flips = packed_run_counts(
@@ -275,7 +243,7 @@ def _kernel_results(
                 if packed is not None
                 else writes[start:stop]
             )
-            tile_codes, tile_copy = kernels(algorithm_name, tile)
+            tile_codes, tile_copy = batched_run_arrays(algorithm_name, tile)
             codes[start:stop] = tile_codes
             copy_after[start:stop] = tile_copy
             counts_matrix[start:stop] = batched_counts(tile_codes, warmup)
@@ -295,7 +263,6 @@ def _kernel_results(
         arrays_sink["copy_after"] = copy_after
         arrays_sink["counts"] = counts_matrix
     results: List[EngineResult] = []
-    produced_by = backend_name if backend_name else BatchedBackend.name
     for row in range(batch):
         cost_model = cost_models[row]
         counts = {
@@ -316,36 +283,19 @@ def _kernel_results(
                 instrumentation.on_request(
                     index, EVENT_KIND_ORDER[code], prices[code]
                 )
-        materialize = None
-        if not stream:
-            # Row views stay arrays until a caller actually reads the
-            # per-request tuples — the same laziness as the vectorized
-            # backend, one closure per row.
-            def materialize(codes=codes[row], copy_after=copy_after[row],
-                            prices=prices):
-                event_kinds = tuple(EVENT_KIND_ORDER[code] for code in codes)
-                events = tuple(
-                    CostEvent(kind, prices[code])
-                    for kind, code in zip(event_kinds, codes)
-                )
-                schemes = tuple(
-                    AllocationScheme.TWO_COPIES
-                    if flag
-                    else AllocationScheme.ONE_COPY
-                    for flag in copy_after
-                )
-                return events, event_kinds, schemes
-
         results.append(
             EngineResult(
                 algorithm_name=algorithm_name,
-                backend_name=produced_by,
+                backend_name=VectorizedBackend.name,
                 requests=length,
                 warmup=warmup,
                 total_cost=total_from_counts(counts, cost_model),
                 event_counts=counts,
                 scheme_changes=int(flips[row]),
-                materialize=materialize,
+                materialize=(
+                    None if stream
+                    else lazy_row_views(codes[row], copy_after[row], prices)
+                ),
             )
         )
     return results
@@ -361,7 +311,6 @@ def run_batched_masks(
     instrumentation: Optional[Instrumentation] = None,
     arrays_sink: Optional[dict] = None,
     threads: Optional[int] = None,
-    tile_rows: Optional[int] = None,
 ) -> List[EngineResult]:
     """Execute one batch group straight from a ``(B, N)`` write matrix.
 
@@ -379,8 +328,8 @@ def run_batched_masks(
     codes unpacks tile by tile.
 
     ``threads`` (default: ``REPRO_KERNEL_THREADS``, else the core
-    count) fans row tiles of ``tile_rows`` across a thread pool; the
-    results are identical to serial execution byte for byte.
+    count) fans row tiles across a thread pool; the results are
+    identical to serial execution byte for byte.
 
     When ``arrays_sink`` (a plain dict) is given it receives the whole
     group's ``codes`` (``(B, N)`` int64 event-kind codes in
@@ -408,13 +357,13 @@ def run_batched_masks(
     )
     reason = _REASON.format(name=name)
     for _ in range(batch):
-        instruments.on_run_start(name, BatchedBackend.name, length, reason)
+        instruments.on_run_start(name, VectorizedBackend.name, length,
+                                 reason)
     started = time.perf_counter()
     results = _kernel_results(
         name, writes, cost_models,
         warmup=warmup, stream=stream, instrumentation=instruments,
-        arrays_sink=arrays_sink, threads=resolved, tile_rows=tile_rows,
-        auto_threads=auto,
+        arrays_sink=arrays_sink, threads=resolved, auto_threads=auto,
     )
     elapsed = (time.perf_counter() - started) / max(batch, 1)
     for result in results:
@@ -475,69 +424,3 @@ def execute_batch(
         for index, result in zip(members, group_results):
             results[index] = result
     return results  # type: ignore[return-value]
-
-
-class BatchedBackend(ExecutionBackend):
-    """The batch kernels as an ordinary (forceable) engine backend.
-
-    A single spec is a batch of one; the point of registering it is
-    uniformity — ``backend="batched"`` slots into the cross-backend
-    equivalence tests and the dispatcher's containment machinery like
-    any other backend.  Auto dispatch never picks it for single runs
-    (the vectorized kernels are the same speed there); batching is
-    decided where batches exist, in :func:`execute_batch` and the sweep
-    executor.
-    """
-
-    name = "batched"
-
-    def supports(self, algorithm_name: str) -> bool:
-        return batched_supports(algorithm_name)
-
-    def execute(self, spec: RunSpec, instrumentation) -> EngineResult:
-        writes = stack_write_masks([spec.schedule])
-        [result] = _kernel_results(
-            spec.algorithm_name,
-            writes,
-            [spec.cost_model],
-            warmup=spec.warmup,
-            stream=spec.stream,
-            instrumentation=instrumentation,
-        )
-        return result
-
-
-class NumbaBackend(ExecutionBackend):
-    """The ``@njit`` SWk rolling-count build behind the registry.
-
-    Only the SWk window count differs from the batched backend — the
-    jitted kernel walks each row with an O(1) running count instead of
-    materializing the cumsum matrix (see
-    :mod:`repro.core.numba_kernels`).  Registered unconditionally:
-    without numba installed the kernel transparently falls back to the
-    numpy recurrence, so ``backend="numba"`` always executes and always
-    produces the reference bytes; having numba merely makes it fast.
-    """
-
-    name = "numba"
-
-    def supports(self, algorithm_name: str) -> bool:
-        return batched_supports(algorithm_name)
-
-    def execute(self, spec: RunSpec, instrumentation) -> EngineResult:
-        writes = stack_write_masks([spec.schedule])
-        [result] = _kernel_results(
-            spec.algorithm_name,
-            writes,
-            [spec.cost_model],
-            warmup=spec.warmup,
-            stream=spec.stream,
-            instrumentation=instrumentation,
-            run_arrays=numba_kernels.run_arrays,
-            backend_name=NumbaBackend.name,
-        )
-        return result
-
-
-register_backend(BatchedBackend())
-register_backend(NumbaBackend())

@@ -633,8 +633,12 @@ class ReliableNetwork(PointToPointNetwork):
         # besides this handshake frame itself (acks are generated on
         # arrival and release is synchronous, so quiescence means
         # every protocol message has been processed and the two
-        # views must truly agree).
-        pending = self.in_flight
+        # views must truly agree).  A frame that arrived out of order
+        # is acked but still buffered behind this one, unprocessed, so
+        # the receive buffers count as pending too.
+        pending = self.in_flight + sum(
+            len(direction.buffer) for direction in self._directions.values()
+        )
         if seq in self._directions[destination].unacked:
             pending -= 1  # the handshake frame, acked but not yet heard
         if pending == 0:

@@ -13,19 +13,27 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.batched import stack_write_masks
 from repro.costmodels.connection import ConnectionCostModel
 from repro.costmodels.message import MessageCostModel
 from repro.engine import run as engine_run
+from repro.engine import run_batched_masks
 from repro.workload.scenarios import available_scenarios, get_scenario
 from .conftest import case_seeds
 
 #: Every family the vectorized/batched kernels cover.
 KERNEL_ALGORITHMS = ("st1", "st2", "sw1", "sw3", "sw9", "t1_4", "t2_4")
 
+#: ``batched`` is a one-row group launch of the same kernels.
 BACKENDS = ("reference", "vectorized", "batched")
 
 
 def _run(name, schedule, model, backend):
+    if backend == "batched":
+        [result] = run_batched_masks(
+            name, stack_write_masks([schedule]), [model], stream=False
+        )
+        return result
     return engine_run(name, schedule, model, backend=backend, stream=False)
 
 

@@ -115,11 +115,12 @@ class TestKernelEquivalence:
             assert batched.total_cost == solo.total_cost
 
     def test_forced_batched_backend(self):
-        result = run("sw9", Schedule.from_string("rwrwr"), MODEL,
-                     backend="batched")
+        [result] = run_batched_masks(
+            "sw9", stack_write_masks([Schedule.from_string("rwrwr")]),
+            [MODEL], stream=False)
         vectorized = run("sw9", Schedule.from_string("rwrwr"), MODEL,
                          backend="vectorized")
-        assert result.backend_name == "batched"
+        assert result.backend_name == "vectorized"
         assert result.total_cost == vectorized.total_cost
         assert result.event_kinds == vectorized.event_kinds
 
@@ -147,7 +148,8 @@ class TestExecuteBatch:
         ]
         results = execute_batch(BatchSpec(runs=tuple(specs)))
         assert [r.backend_name for r in results] == [
-            "batched", "batched", "batched", "reference", "batched"
+            "vectorized", "vectorized", "vectorized", "reference",
+            "vectorized",
         ]
         for spec, result in zip(specs, results):
             solo = run(spec.algorithm_name, spec.schedule, MODEL, stream=True)
@@ -256,7 +258,7 @@ class TestSweepExecutorBatching:
         assert [o.identity() for o in serial] == [
             o.identity() for o in parallel
         ]
-        assert all(o.backend_name == "batched" for o in serial)
+        assert all(o.backend_name == "vectorized" for o in serial)
 
     def test_executor_reports_batches(self):
         executor = SweepExecutor(jobs=1)

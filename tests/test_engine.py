@@ -46,10 +46,8 @@ schedule_texts = st.text(alphabet="rw", min_size=0, max_size=100)
 
 
 class TestRegistry:
-    def test_five_backends_registered(self):
-        assert available_backends() == [
-            "reference", "vectorized", "protocol", "batched", "numba"
-        ]
+    def test_three_backends_registered(self):
+        assert available_backends() == ["reference", "vectorized", "protocol"]
 
     def test_unknown_backend_name(self):
         with pytest.raises(InvalidParameterError):
@@ -96,8 +94,7 @@ class TestDispatch:
 
     def test_forced_backend_honoured(self):
         schedule = Schedule.from_string("rwrw")
-        for name in ("reference", "vectorized", "protocol", "batched",
-                     "numba"):
+        for name in ("reference", "vectorized", "protocol"):
             assert run("sw9", schedule, MODEL, backend=name).backend_name == name
 
     def test_forced_vectorized_rejects_uncovered_algorithm(self):

@@ -6,8 +6,8 @@ bytes — counts, totals, flips, materialized events — as the unpacked
 bool matrix on one thread, for every algorithm family the batched
 kernels cover and for all three parameter scans.  Plus unit coverage of
 the packbits layout (roundtrip, footprint, validators), the int32→int64
-accumulator promotion guard, the ``REPRO_KERNEL_THREADS`` resolution
-ladder, and the numba backend's registration-with-fallback.
+accumulator promotion guard and the ``REPRO_KERNEL_THREADS`` resolution
+ladder.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from repro.core.batched import (
     scan_window_counts,
     stack_write_masks,
 )
-from repro.core.numba_kernels import numba_available
 from repro.core.packed import (
     PackedMasks,
     accumulator_dtype,
@@ -234,10 +233,10 @@ class TestRaggedTiles:
         models = [MODEL] * 5
         baseline = run_batched_masks(algorithm_name, writes, models, threads=1)
         packed = pack_write_masks(writes)
-        for tile_rows in (1, 2, 3, 7):
+        # B=5 over 2, 3 and 5 threads gives tile heights 3, 2 and 1.
+        for threads in (2, 3, 5):
             results = run_batched_masks(
-                algorithm_name, packed, models, threads=2,
-                tile_rows=tile_rows,
+                algorithm_name, packed, models, threads=threads
             )
             for expected, got in zip(baseline, results):
                 assert got.total_cost == expected.total_cost
@@ -245,13 +244,13 @@ class TestRaggedTiles:
                 assert got.scheme_changes == expected.scheme_changes
 
     def test_row_tiles_cover_exactly(self):
-        tiles = _row_tiles(5, 2, 1)
+        tiles = _row_tiles(5, 3)
         assert tiles == [(0, 2), (2, 4), (4, 5)]
-        assert _row_tiles(0, 2, 1) == []
-        # Default tile size splits evenly across the thread count.
-        assert _row_tiles(8, None, 4) == [(0, 2), (2, 4), (4, 6), (6, 8)]
-        with pytest.raises(InvalidParameterError):
-            _row_tiles(5, 0, 1)
+        assert _row_tiles(0, 2) == []
+        # The tile height splits evenly across the thread count...
+        assert _row_tiles(8, 4) == [(0, 2), (2, 4), (4, 6), (6, 8)]
+        # ...up to DEFAULT_TILE_ROWS.
+        assert _row_tiles(100, 1) == [(0, 32), (32, 64), (64, 96), (96, 100)]
 
 
 class TestAccumulatorGuard:
@@ -271,6 +270,9 @@ class TestAccumulatorGuard:
         # every count must come out identical to the int32 tier.
         rng = np.random.default_rng(23)
         writes = rng.random((4, 37)) < 0.6
+        schedule = Schedule.from_string(
+            "".join("w" if bit else "r" for bit in writes[0])
+        )
         expected_codes, _ = batched_run_arrays("sw5", writes)
         expected_counts, expected_flips = packed_run_counts(
             "sw5", pack_write_masks(writes)
@@ -282,6 +284,14 @@ class TestAccumulatorGuard:
         counts, flips = packed_run_counts("sw5", pack_write_masks(writes))
         np.testing.assert_array_equal(counts, expected_counts)
         np.testing.assert_array_equal(flips, expected_flips)
+        # The per-schedule path is a one-row launch of the same kernels.
+        single = run("sw5", schedule, MODEL, backend="vectorized",
+                     stream=False)
+        reference = run("sw5", schedule, MODEL, backend="reference",
+                        stream=False)
+        assert single.event_kinds == reference.event_kinds
+        assert single.total_cost == reference.total_cost
+        assert single.scheme_changes == reference.scheme_changes
 
 
 class TestKernelThreadResolution:
@@ -322,25 +332,3 @@ class TestKernelThreadResolution:
         for expected, got in zip(baseline, results):
             assert got.total_cost == expected.total_cost
             assert got.event_counts == expected.event_counts
-
-
-class TestNumbaBackend:
-    def test_numba_backend_is_registered(self):
-        from repro.engine import available_backends
-
-        assert "numba" in available_backends()
-
-    @pytest.mark.parametrize("algorithm_name", FAMILY_NAMES)
-    def test_numba_backend_matches_reference(self, algorithm_name):
-        # With numba installed this runs the njit kernel; without it the
-        # numpy fallback answers — identical bytes either way.
-        schedule = Schedule.from_string("rwrrwwrwrrrwrw")
-        forced = run(algorithm_name, schedule, MODEL, backend="numba")
-        reference = run(algorithm_name, schedule, MODEL, backend="reference")
-        assert forced.backend_name == "numba"
-        assert forced.total_cost == reference.total_cost
-        assert forced.event_counts == reference.event_counts
-        assert forced.scheme_changes == reference.scheme_changes
-
-    def test_numba_availability_flag_is_boolean(self):
-        assert numba_available() in (True, False)

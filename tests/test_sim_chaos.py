@@ -16,7 +16,7 @@ import signal
 from contextlib import contextmanager
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.sim.faults import FaultConfig
@@ -63,6 +63,9 @@ def schedules(max_size: int = 40):
 class TestLogicalCostEquivalence:
     @settings(max_examples=20, deadline=None)
     @given(schedule=schedules(), seed=st.integers(0, 2**31 - 1))
+    # T2m: the handshake is released while the MC's deallocation notice
+    # sits acked but buffered behind it at the SC.
+    @example(schedule=Schedule.from_string("www"), seed=1611)
     def test_chaos_run_matches_fault_free_ledger(
         self, algorithm_name, schedule, seed
     ):
