@@ -8,9 +8,13 @@ engine) and writes the throughput report as ``BENCH_service.json``.
 The headline number is ``decisions_per_sec`` — sustained allocation
 decisions per second across the whole population, timed over the
 service's own work only (routing, kernels, state folds; load
-pre-materialized).  Correctness gates ride along: the run only counts
-if the conservation audit and the byte-identity replay both passed,
-since a fast wrong answer is not a benchmark result.
+pre-materialized).  Beside it the report carries the stage seconds
+(``admission_seconds``, ``elapsed_seconds`` for the drain,
+``verify_seconds``) and the end-to-end ``wall_seconds`` /
+``wall_decisions_per_sec`` of the whole populate/drive/verify run.
+Correctness gates ride along: the run only counts if the conservation
+audit and the byte-identity replay both passed, since a fast wrong
+answer is not a benchmark result.
 
 Usage::
 

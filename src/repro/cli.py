@@ -185,8 +185,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="shards to drill when --replicas > 1 (default 4)")
     serve.add_argument("--min-throughput", type=float, default=None,
                        metavar="DPS",
-                       help="fail (exit 1) if the self-test sustains fewer "
-                            "decisions/sec")
+                       help="fail (exit 1) if the self-test's drain "
+                            "sustains fewer decisions/sec")
     serve.add_argument("--kernel-threads", type=int, default=None,
                        metavar="T",
                        help="threads per drain kernel launch (default: "
@@ -485,8 +485,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     print(f"algorithm mix   : {', '.join(report['algorithms'])}")
     print(f"decisions       : {report['decisions']} "
           f"({report['rounds']} rounds x {report['ops_per_round']} ops)")
-    print(f"elapsed         : {report['elapsed_seconds']:.3f}s")
-    print(f"throughput      : {report['decisions_per_sec']:,.0f} decisions/s")
+    print(f"admission       : {report['admission_seconds']:.3f}s")
+    print(f"drain           : {report['elapsed_seconds']:.3f}s")
+    print(f"verify          : {report['verify_seconds']:.3f}s "
+          "(audit + replay)")
+    print(f"wall            : {report['wall_seconds']:.3f}s")
+    print(f"throughput      : {report['decisions_per_sec']:,.0f} decisions/s "
+          "(drain)")
+    print(f"end-to-end      : {report['wall_decisions_per_sec']:,.0f} "
+          "decisions/s (wall)")
     audit = report["audit"]
     print(f"ledger audit    : {audit['shards_audited']} shards, "
           f"{audit['sessions_audited']} sessions, "

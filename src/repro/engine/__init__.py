@@ -43,7 +43,9 @@ from .dispatch import AUTO, run
 from ..core.packed import PackedMasks, pack_write_masks
 from .batched import (
     BatchSpec,
+    KernelArrays,
     execute_batch,
+    kernel_arrays,
     kernel_threads,
     run_batched_masks,
 )
@@ -92,8 +94,10 @@ __all__ = [
     "default_cache_dir",
     "digest_parts",
     "BatchSpec",
+    "KernelArrays",
     "PackedMasks",
     "execute_batch",
+    "kernel_arrays",
     "kernel_threads",
     "pack_write_masks",
     "run_batched_masks",

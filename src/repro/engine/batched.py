@@ -16,14 +16,21 @@ backend name and dispatch reason of a run must not depend on which
 other runs happened to share its chunk (the sweep executor's
 serial-equals-parallel contract).
 
-Two execution tiers sit under :func:`run_batched_masks`:
+One columnar entry, :func:`kernel_arrays`, owns the row-tile loop and
+returns a launch's columns — ``(B, 6)`` counts, ``(B,)`` scheme flips
+and, when asked, the ``(B, N)`` codes and replica flags.
+:func:`run_batched_masks` is that entry plus one
+:class:`~repro.engine.base.EngineResult` per row; the allocation
+service calls the entry directly and folds the columns into its own
+session state, so a drain builds no per-row object.  Two execution
+tiers sit under the entry:
 
 * **Packed counts.**  When the caller hands a
   :class:`~repro.core.packed.PackedMasks` (8 requests per byte) and
-  only aggregates are observable — streaming, no per-request trace, no
-  ``arrays_sink`` — the per-kind counts and scheme flips come straight
-  off the packed bytes via popcounts, never materializing a ``(B, N)``
-  code matrix.
+  only aggregates are observable — ``need_codes=False``, which
+  :func:`run_batched_masks` passes for streaming, untraced runs — the
+  per-kind counts and scheme flips come straight off the packed bytes
+  via popcounts, never materializing a ``(B, N)`` code matrix.
 * **Threaded row tiles.**  The ``(B, N)`` grid splits into row tiles
   fanned across a ``ThreadPoolExecutor`` — the kernels are
   embarrassingly parallel over rows and numpy releases the GIL, so
@@ -44,7 +51,7 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -65,7 +72,9 @@ from .instrumentation import Instrumentation, wants_per_request
 
 __all__ = [
     "BatchSpec",
+    "KernelArrays",
     "execute_batch",
+    "kernel_arrays",
     "run_batched_masks",
     "kernel_threads",
     "supports",
@@ -187,41 +196,61 @@ def _map_tiles(fn, tiles: List[Tuple[int, int]], threads: int) -> None:
             pass
 
 
-def _kernel_results(
-    algorithm_name: str,
-    writes,
-    cost_models: Sequence[CostModel],
-    *,
-    warmup: int,
-    stream: bool,
-    instrumentation,
-    arrays_sink: Optional[dict] = None,
-    threads: int = 1,
-    auto_threads: bool = False,
-) -> List[EngineResult]:
-    """Run the batch kernels and build one result per row.
+class KernelArrays(NamedTuple):
+    """The column-level outputs of one kernel launch over ``B`` rows."""
 
-    ``writes`` is a ``(B, N)`` bool matrix or a
-    :class:`~repro.core.packed.PackedMasks`.  Fires only the
-    per-request trace hook (when an instrument listens); run lifecycle
-    hooks, timing and dispatch reasons belong to
-    :func:`run_batched_masks`.
+    #: ``(B, 6)`` int64 event counts in ``EVENT_KIND_ORDER``, warmup
+    #: excluded.
+    counts: np.ndarray
+    #: ``(B,)`` int64 scheme changes over the full rows.
+    flips: np.ndarray
+    #: ``(B, N)`` int64 event-kind codes, or ``None`` on the packed
+    #: counts tier.
+    codes: Optional[np.ndarray]
+    #: ``(B, N)`` bool replica flags after each request, or ``None``
+    #: on the packed counts tier.
+    copy_after: Optional[np.ndarray]
+
+
+def kernel_arrays(
+    algorithm_name: str,
+    writes: Union[np.ndarray, PackedMasks],
+    *,
+    warmup: int = 0,
+    need_codes: bool = True,
+    threads: Optional[int] = None,
+) -> KernelArrays:
+    """Run one ``(B, N)`` launch of the kernels and return its columns.
+
+    The columnar entry point: masks in, counts, flips and (when asked)
+    per-request codes and replica flags out, with no per-row object.
+    A :class:`~repro.core.packed.PackedMasks` input with
+    ``need_codes=False`` takes the packed counts tier and leaves
+    ``codes``/``copy_after`` as ``None``; every other launch
+    materializes them, unpacking packed rows tile by tile.
+
+    ``threads`` (default: ``REPRO_KERNEL_THREADS``, else the core
+    count, kept serial below ``_MIN_AUTO_PARALLEL_ELEMENTS``) fans row
+    tiles across a thread pool; the outputs are identical to serial
+    execution byte for byte.
     """
     packed = writes if isinstance(writes, PackedMasks) else None
-    batch, length = (packed.shape if packed is not None else writes.shape)
+    if packed is None:
+        writes = np.asarray(writes)
+    batch, length = writes.shape
     if warmup < 0:
         raise InvalidParameterError(f"warmup must be >= 0, got {warmup}")
     if warmup > length:
         raise InvalidParameterError(
             f"warmup {warmup} exceeds the schedule length {length}"
         )
-    trace = wants_per_request(instrumentation)
-    need_codes = trace or not stream or arrays_sink is not None
-    if auto_threads and batch * length < _MIN_AUTO_PARALLEL_ELEMENTS:
+    auto = threads is None and not os.environ.get(_ENV_THREADS)
+    threads = kernel_threads(threads)
+    if auto and batch * length < _MIN_AUTO_PARALLEL_ELEMENTS:
         threads = 1
     tiles = _row_tiles(batch, threads)
 
-    counts_matrix = np.zeros((batch, len(EVENT_KIND_ORDER)), dtype=np.int64)
+    counts = np.zeros((batch, len(EVENT_KIND_ORDER)), dtype=np.int64)
     flips = np.zeros(batch, dtype=np.int64)
     codes = copy_after = None
 
@@ -231,7 +260,7 @@ def _kernel_results(
             tile_counts, tile_flips = packed_run_counts(
                 algorithm_name, packed.rows(start, stop), warmup
             )
-            counts_matrix[start:stop] = tile_counts
+            counts[start:stop] = tile_counts
             flips[start:stop] = tile_flips
     else:
         codes = np.empty((batch, length), dtype=np.int64)
@@ -246,28 +275,44 @@ def _kernel_results(
             tile_codes, tile_copy = batched_run_arrays(algorithm_name, tile)
             codes[start:stop] = tile_codes
             copy_after[start:stop] = tile_copy
-            counts_matrix[start:stop] = batched_counts(tile_codes, warmup)
+            counts[start:stop] = batched_counts(tile_codes, warmup)
             if length:
                 flips[start:stop] = (
                     tile_copy[:, 1:] != tile_copy[:, :-1]
                 ).sum(axis=1)
 
     _map_tiles(compute_tile, tiles, threads)
+    return KernelArrays(counts, flips, codes, copy_after)
 
-    if arrays_sink is not None:
-        # Column-level view for callers (the allocation service) that
-        # carry state across chunks themselves: the raw decision codes,
-        # the post-request replica flags, and the warmup-respecting
-        # counts matrix, at zero additional per-row cost.
-        arrays_sink["codes"] = codes
-        arrays_sink["copy_after"] = copy_after
-        arrays_sink["counts"] = counts_matrix
+
+def _kernel_results(
+    algorithm_name: str,
+    writes,
+    cost_models: Sequence[CostModel],
+    *,
+    warmup: int,
+    stream: bool,
+    instrumentation,
+    threads: Optional[int] = None,
+) -> List[EngineResult]:
+    """One :func:`kernel_arrays` launch, then one result per row.
+
+    Fires only the per-request trace hook (when an instrument listens);
+    run lifecycle hooks, timing and dispatch reasons belong to
+    :func:`run_batched_masks`.
+    """
+    trace = wants_per_request(instrumentation)
+    arrays = kernel_arrays(
+        algorithm_name, writes,
+        warmup=warmup, need_codes=trace or not stream, threads=threads,
+    )
+    codes, copy_after = arrays.codes, arrays.copy_after
+    length = writes.shape[1]
     results: List[EngineResult] = []
-    for row in range(batch):
-        cost_model = cost_models[row]
+    for row, cost_model in enumerate(cost_models):
         counts = {
             kind: int(count)
-            for kind, count in zip(EVENT_KIND_ORDER, counts_matrix[row])
+            for kind, count in zip(EVENT_KIND_ORDER, arrays.counts[row])
             if count
         }
         # Per-kind prices are only consumed by the trace hook and the
@@ -291,7 +336,7 @@ def _kernel_results(
                 warmup=warmup,
                 total_cost=total_from_counts(counts, cost_model),
                 event_counts=counts,
-                scheme_changes=int(flips[row]),
+                scheme_changes=int(arrays.flips[row]),
                 materialize=(
                     None if stream
                     else lazy_row_views(codes[row], copy_after[row], prices)
@@ -309,7 +354,6 @@ def run_batched_masks(
     warmup: int = 0,
     stream: bool = True,
     instrumentation: Optional[Instrumentation] = None,
-    arrays_sink: Optional[dict] = None,
     threads: Optional[int] = None,
 ) -> List[EngineResult]:
     """Execute one batch group straight from a ``(B, N)`` write matrix.
@@ -329,28 +373,18 @@ def run_batched_masks(
 
     ``threads`` (default: ``REPRO_KERNEL_THREADS``, else the core
     count) fans row tiles across a thread pool; the results are
-    identical to serial execution byte for byte.
-
-    When ``arrays_sink`` (a plain dict) is given it receives the whole
-    group's ``codes`` (``(B, N)`` int64 event-kind codes in
-    ``EVENT_KIND_ORDER``), ``copy_after`` (``(B, N)`` bool replica
-    flags) and ``counts`` (``(B, 6)`` int64, warmup excluded) — the
-    column-level outputs the allocation service folds into its own
-    per-session accumulators without touching the per-row results.
+    identical to serial execution byte for byte.  Callers that fold
+    the columns themselves call :func:`kernel_arrays` instead.
     """
     name = algorithm_name.strip().lower()
     if not isinstance(writes, PackedMasks):
         writes = np.asarray(writes)
-    batch, length = (
-        writes.shape if isinstance(writes, PackedMasks) else writes.shape
-    )
+    batch, length = writes.shape
     if len(cost_models) != batch:
         raise InvalidParameterError(
             f"{batch} schedule rows but {len(cost_models)} "
             "cost models"
         )
-    auto = threads is None and not os.environ.get(_ENV_THREADS)
-    resolved = kernel_threads(threads)
     instruments = (
         instrumentation if instrumentation is not None
         else _NULL_INSTRUMENTATION
@@ -363,7 +397,7 @@ def run_batched_masks(
     results = _kernel_results(
         name, writes, cost_models,
         warmup=warmup, stream=stream, instrumentation=instruments,
-        arrays_sink=arrays_sink, threads=resolved, auto_threads=auto,
+        threads=threads,
     )
     elapsed = (time.perf_counter() - started) / max(batch, 1)
     for result in results:

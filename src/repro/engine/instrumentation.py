@@ -26,6 +26,8 @@ from typing import Dict, List, Tuple
 from ..costmodels.base import CostEventKind
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    import numpy as np
+
     from .base import BackendDiagnostic, EngineResult
 
 __all__ = [
@@ -71,10 +73,11 @@ class Instrumentation:
     ) -> None:
         """A batched kernel executed ``batch_size`` runs in one pass.
 
-        Fired once per batch group (after the per-run start/end hooks),
-        with the total request count across the batch.  Per-run hooks
-        still fire for every member, so counters stay comparable with
-        the per-schedule path; this hook only reports the grouping.
+        Fired once per batch group, with the total request count
+        across the batch.  :func:`~repro.engine.run_batched_masks`
+        fires it after the per-run start/end hooks of every member, so
+        counters stay comparable with the per-schedule path; the
+        allocation service fires it alone, once per drain launch.
         """
 
     # -- allocation-service hooks (no-ops outside the service host) ----
@@ -83,12 +86,19 @@ class Instrumentation:
         """The allocation service opened a session on a shard."""
 
     def on_shard_drain(
-        self, shard_index: int, sessions: int, decisions: int
+        self,
+        shard_index: int,
+        sessions: int,
+        decisions: int,
+        event_counts: "np.ndarray",
     ) -> None:
-        """A shard drained its queued operations through the kernels.
+        """A shard drained a block of queued operations in one launch.
 
         ``sessions`` is the number of distinct sessions in the drained
-        block; ``decisions`` the total operations decided.
+        block; ``decisions`` the total operations decided;
+        ``event_counts`` the launch's ``(sessions, 6)`` int64 event
+        counts in ``EVENT_KIND_ORDER``.  The service fires this (after
+        :meth:`on_batch`) instead of per-session run hooks.
         """
 
     def on_backpressure(self, shard_index: int, queue_depth: int) -> None:

@@ -20,12 +20,17 @@ Architecture
 
 * **Shards.**  Sessions hash to shards by the content digest of their
   key (:func:`repro.service.keys.shard_of`).  Each shard owns an event
-  queue; queued operations drain through
-  :func:`repro.engine.batched.run_batched_masks` grouped by algorithm.
-  Draining is triggered by queue depth (queue-based load leveling):
-  past ``drain_threshold`` the shard drains (``auto_drain``) or, with
-  automatic draining disabled, callers get
-  :class:`~repro.exceptions.ServiceOverloadError` past
+  queue; queued operations drain grouped by algorithm, one
+  :func:`repro.engine.batched.kernel_arrays` launch per group and
+  queue length.  The launch hands back columns — ``(b, 6)`` counts,
+  replica flags, per-request codes — which fold straight into the
+  group's matrices: a drain builds no per-session result object,
+  prices nothing (a session is priced when :meth:`session_info` reads
+  it) and fires one ``on_batch`` and one ``on_shard_drain`` hook per
+  launch, not a run hook per session.  Draining is triggered by queue
+  depth (queue-based load leveling): past ``drain_threshold`` the
+  shard drains (``auto_drain``) or, with automatic draining disabled,
+  callers get :class:`~repro.exceptions.ServiceOverloadError` past
   ``max_queue_depth`` as the backpressure signal.
 
 * **Audit.**  With ``record_decisions`` on (the default) every decided
@@ -50,7 +55,10 @@ from ..core.vectorized import EVENT_KIND_ORDER
 from ..costmodels.base import CostEventKind, CostModel
 from ..costmodels.connection import ConnectionCostModel
 from ..engine.base import total_from_counts
-from ..engine.batched import run_batched_masks
+# ``run_batched_masks`` is not called here; it stays a module attribute
+# because perfbench's span recorder wraps it by this name.
+from ..engine.batched import kernel_arrays, run_batched_masks  # noqa: F401
+from ..engine.batched import supports as kernel_supports
 from ..engine.dispatch import run as engine_run
 from ..engine.instrumentation import Instrumentation
 from ..exceptions import (
@@ -141,12 +149,13 @@ class _Group:
     """
 
     __slots__ = (
-        "spec", "carry_length", "size", "keys", "models",
+        "spec", "name", "carry_length", "size", "keys", "models",
         "carry", "counts", "served", "copy", "history",
     )
 
     def __init__(self, spec: AlgorithmSpec):
         self.spec = spec
+        self.name = spec.name
         self.carry_length = spec.carry_length
         self.size = 0
         self.keys: List[SessionKey] = []
@@ -175,9 +184,10 @@ class _Group:
         self.size += 1
         self.keys.append(key)
         self.models.append(model)
-        self.carry[row] = self.spec.initial_carry()
-        self.counts[row] = 0
-        self.served[row] = 0
+        # Rows are never reused and capacity is zero-filled, so only
+        # the carry bits and the replica flag need a fresh session's
+        # values; counts and served start at zero.
+        self.carry[row] = self.spec.carry_fill
         self.copy[row] = self.spec.initial_mobile_has_copy
         return row
 
@@ -233,6 +243,8 @@ class AllocationService:
         )
         self._shards = [_Shard(i) for i in range(self.config.num_shards)]
         self._sessions: Dict[SessionKey, Tuple[_Group, int, int]] = {}
+        #: Parsed algorithm names, so admission parses each name once.
+        self._specs: Dict[str, Optional[AlgorithmSpec]] = {}
         self._decisions = 0
         #: EMA of drain throughput (decisions/s), feeding the
         #: ``retry_after`` hint on overload rejections.
@@ -255,11 +267,21 @@ class AllocationService:
         """
         if key in self._sessions:
             raise ServiceError(f"session {key} is already open")
-        spec = parse_algorithm_name(algorithm.strip().lower())
+        try:
+            spec = self._specs[algorithm]
+        except KeyError:
+            spec = parse_algorithm_name(algorithm)
+            if spec is not None and not kernel_supports(spec.name):
+                # Hostable as a session but without a kernel (the
+                # unoptimized one-request window): no drain could
+                # decide it, so it is refused here, not at drain time.
+                spec = None
+            self._specs[algorithm] = spec
         if spec is None:
             raise UnknownAlgorithmError(
-                f"algorithm {algorithm!r} is not session-hostable; the "
-                "service hosts the ST/SW/T families"
+                f"algorithm {algorithm!r} is not service-hostable; the "
+                "service hosts st1, st2, sw1, swK (odd K >= 3), t1_M "
+                "and t2_M"
             )
         shard_index = shard_of(key, self.config.num_shards)
         shard = self._shards[shard_index]
@@ -269,7 +291,7 @@ class AllocationService:
         model = cost_model if cost_model is not None else self._default_model
         row = group.add_session(key, model)
         self._sessions[key] = (group, row, shard_index)
-        self._instruments.on_session_open(shard_index, spec.name)
+        self._instruments.on_session_open(shard_index, group.name)
         return shard_index
 
     def session_key(self, client: str, object: str) -> SessionKey:
@@ -301,7 +323,7 @@ class AllocationService:
                 shard=shard.index,
                 depth=shard.depth,
             )
-        per_group = shard.pending.setdefault(group.spec.name, {})
+        per_group = shard.pending.setdefault(group.name, {})
         per_group.setdefault(row, []).append(operation is Operation.WRITE)
         shard.depth += 1
         if shard.depth >= self.config.drain_threshold:
@@ -385,29 +407,27 @@ class AllocationService:
             full = np.concatenate([group.carry[rows], writes], axis=1)
         else:
             full = writes
-        sink: dict = {}
-        run_batched_masks(
-            group.spec.name,
+        arrays = kernel_arrays(
+            group.name,
             full,
-            [group.models[row] for row in rows],
             warmup=carry_length,
-            stream=True,
-            instrumentation=self._instruments,
-            arrays_sink=sink,
             threads=self.config.kernel_threads,
         )
-        group.counts[rows] += sink["counts"]
+        group.counts[rows] += arrays.counts
         group.served[rows] += length
-        group.copy[rows] = sink["copy_after"][:, -1]
+        group.copy[rows] = arrays.copy_after[:, -1]
         if carry_length:
             group.carry[rows] = full[:, -carry_length:]
-        codes = sink["codes"][:, carry_length:]
+        codes = arrays.codes[:, carry_length:]
         if self.config.record_decisions:
             group.history.append(
                 (rows.copy(), writes.copy(), codes.astype(np.int8))
             )
         self._decisions += batch * length
-        self._instruments.on_shard_drain(shard_index, batch, batch * length)
+        self._instruments.on_batch(group.name, batch, full.size)
+        self._instruments.on_shard_drain(
+            shard_index, batch, batch * length, arrays.counts
+        )
         return codes
 
     def _retry_after(self, queue_depth: int) -> float:
@@ -570,7 +590,7 @@ class AllocationService:
         }
         return {
             "key": str(key),
-            "algorithm": group.spec.name,
+            "algorithm": group.name,
             "shard": shard_index,
             "decisions": int(group.served[row]),
             "mobile_has_copy": bool(group.copy[row]),
@@ -738,7 +758,7 @@ class AllocationService:
                 for bit in writes
             )
             result = engine_run(
-                group.spec.name, schedule, group.models[row], stream=False
+                group.name, schedule, group.models[row], stream=False
             )
             expected = tuple(EVENT_KIND_ORDER[int(code)] for code in codes)
             if result.event_kinds != expected:

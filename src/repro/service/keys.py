@@ -39,6 +39,10 @@ class SessionKey:
     object: str
     namespace: str = "alloc"
 
+    #: Memo of :meth:`digest`; unannotated, so not a dataclass field
+    #: and no part of equality, hashing or the repr.
+    _digest = None
+
     def __post_init__(self):
         for label, value in (
             ("client", self.client),
@@ -52,8 +56,16 @@ class SessionKey:
                 )
 
     def digest(self) -> str:
-        """Canonical content digest of the key (hex)."""
-        return digest_parts(self.namespace, self.client, self.object)
+        """Canonical content digest of the key (hex).
+
+        Computed on first use and kept on the key, so placement at
+        admission and the replay sample's digest sort share one hash.
+        """
+        digest = self._digest
+        if digest is None:
+            digest = digest_parts(self.namespace, self.client, self.object)
+            object.__setattr__(self, "_digest", digest)
+        return digest
 
     def __str__(self) -> str:
         return f"{self.namespace}/{self.client}/{self.object}"

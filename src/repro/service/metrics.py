@@ -2,13 +2,16 @@
 
 :class:`ServiceCounters` extends the engine's
 :class:`~repro.engine.instrumentation.CounterInstrumentation` with the
-service-level hooks (sessions opened, shard drains, backpressure) and
-drops the per-run dispatch log: the service funnels every queued
-operation through the batched kernels, so a log entry per drained
-session row would grow without bound while saying the same thing a
-million times.  The backend/run counters themselves keep accumulating,
-which is what makes service throughput directly comparable with the
-sweep executor's reports.
+service-level hooks (sessions opened, shard drains, backpressure).  The
+service decides each drain in one columnar kernel launch and fires one
+``on_batch`` plus one ``on_shard_drain`` per launch — no per-session run
+hooks — so the engine-level tallies (runs, requests, the backend mix,
+per-kind event counts) are derived from those per-launch hooks: one
+drained session row counts as one ``vectorized`` run, and the event
+counts are one column sum of the launch's ``(b, 6)`` count matrix.
+The dispatch log stays empty, so the counters are bounded however long
+the service runs, and service throughput stays directly comparable
+with the sweep executor's reports.
 """
 
 from __future__ import annotations
@@ -16,13 +19,23 @@ from __future__ import annotations
 from collections import Counter
 from typing import Dict
 
+import numpy as np
+
+from ..core.vectorized import EVENT_KIND_ORDER
+from ..engine.backends import VectorizedBackend
 from ..engine.instrumentation import CounterInstrumentation
 
 __all__ = ["ServiceCounters"]
 
 
 class ServiceCounters(CounterInstrumentation):
-    """Aggregate counters sized for service workloads."""
+    """Aggregate counters sized for service workloads.
+
+    On the service path ``total_cost`` and ``wall_seconds`` stay at
+    zero: drains price nothing per session (a session's cost is priced
+    from its counts when :meth:`AllocationService.session_info` reads
+    it) and are timed per launch, not per run.
+    """
 
     def __init__(self) -> None:
         super().__init__()
@@ -36,28 +49,28 @@ class ServiceCounters(CounterInstrumentation):
         self.failovers_observed = 0
         self.failover_divergences = 0
 
-    def on_run_start(
-        self,
-        algorithm_name: str,
-        backend_name: str,
-        num_requests: int,
-        reason: str,
-    ) -> None:
-        # Same tallies as the base class, minus the unbounded
-        # dispatch_log append (one drained session row == one "run").
-        self.runs += 1
-        self.backend_runs[backend_name] += 1
-
     def on_session_open(self, shard_index: int, algorithm_name: str) -> None:
         self.sessions_opened += 1
         self.shard_occupancy[shard_index] += 1
 
     def on_shard_drain(
-        self, shard_index: int, sessions: int, decisions: int
+        self,
+        shard_index: int,
+        sessions: int,
+        decisions: int,
+        event_counts: np.ndarray,
     ) -> None:
         self.shard_drains += 1
         self.drained_sessions += sessions
         self.drained_decisions += decisions
+        # One drained session row is one kernel-backed run.
+        self.runs += sessions
+        self.backend_runs[VectorizedBackend.name] += sessions
+        self.requests += decisions
+        totals = event_counts.sum(axis=0).tolist()
+        for kind, count in zip(EVENT_KIND_ORDER, totals):
+            if count:
+                self.event_counts[kind] += count
 
     def on_backpressure(self, shard_index: int, queue_depth: int) -> None:
         self.backpressure_events += 1

@@ -5,8 +5,15 @@ deterministic operation stream through the block path, and then proves
 the run was *correct*, not just fast: the per-shard traffic ledgers
 must pass the conservation audit, and a sample of sessions is replayed
 through :func:`repro.engine.run` demanding byte-identical decisions and
-totals.  The timed region is exactly the service's own work (routing,
-kernels, state folds); load generation is pre-materialized outside it.
+totals.
+
+The report times every stage.  ``decisions_per_sec`` covers the drain
+alone (``submit_block``: routing, kernels, state folds; load is
+pre-materialized outside it); ``admission_seconds`` covers opening the
+sessions and planning the block, ``verify_seconds`` the audit and the
+replay, and ``wall_seconds`` the whole populate/drive/verify run, load
+generation included, whose rate is ``wall_decisions_per_sec``.
+Failover drills run after the wall clock stops.
 """
 
 from __future__ import annotations
@@ -39,10 +46,11 @@ def run_self_test(
 ) -> Dict[str, object]:
     """Drive a seeded population through the service and verify it.
 
-    Returns a JSON-friendly report with the sustained decision rate,
-    shard occupancy, and the audit/replay verification tallies.  With
-    ``replicas > 1`` the report gains a ``failover`` section: after the
-    timed region, ``failover_drills`` shards each run a seeded
+    Returns a JSON-friendly report with the drain-only and end-to-end
+    decision rates, the per-stage seconds, shard occupancy, and the
+    audit/replay verification tallies.  With ``replicas > 1`` the
+    report gains a ``failover`` section: after the timed region,
+    ``failover_drills`` shards each run a seeded
     kill-the-primary campaign against a ``replicas``-strong SC replica
     set and must keep the logical ledger byte-identical to the
     fault-free run.
@@ -53,6 +61,7 @@ def run_self_test(
         raise InvalidParameterError(
             f"failover_drills must be >= 0, got {failover_drills}"
         )
+    wall_started = time.perf_counter()
     generator = LoadGenerator(
         sessions, seed=seed, algorithms=algorithms, scenario=scenario
     )
@@ -67,9 +76,11 @@ def run_self_test(
         instrumentation=counters,
     )
     keys = generator.keys()
+    admission_started = time.perf_counter()
     for index, key in enumerate(keys):
         service.open_session(key, generator.algorithm_of(index))
     plan = service.plan_block(keys)
+    admission_seconds = time.perf_counter() - admission_started
     matrices = [
         generator.round_matrix(round_index, ops_per_round)
         for round_index in range(rounds)
@@ -81,8 +92,11 @@ def run_self_test(
         decided += service.submit_block(plan, matrix)
     elapsed = time.perf_counter() - started
 
+    verify_started = time.perf_counter()
     audit = service.audit(audit_sessions_per_shard)
     replay = service.replay_verify(replay_sample)
+    verify_seconds = time.perf_counter() - verify_started
+    wall_seconds = time.perf_counter() - wall_started
     metrics = service.metrics()
     decisions_per_sec = decided / elapsed if elapsed > 0 else float("inf")
 
@@ -125,6 +139,10 @@ def run_self_test(
         "decisions": decided,
         "elapsed_seconds": elapsed,
         "decisions_per_sec": decisions_per_sec,
+        "admission_seconds": admission_seconds,
+        "verify_seconds": verify_seconds,
+        "wall_seconds": wall_seconds,
+        "wall_decisions_per_sec": decided / wall_seconds,
         "occupied_shards": metrics["occupied_shards"],
         "max_shard_sessions": metrics["max_shard_sessions"],
         "min_shard_sessions": metrics["min_shard_sessions"],

@@ -10,7 +10,9 @@ The contract under test, hypothesis-swept rather than example-based:
 * the k/m/omega parameter scans reproduce their brute-force loops
   exactly (the sufficient statistics lose nothing);
 * the sweep executor's batched path is invisible in outcomes (serial
-  equals parallel equals per-task) and visible in its counters.
+  equals parallel equals per-task) and visible in its counters;
+* the columnar entry ``kernel_arrays`` returns exactly the columns the
+  per-row results are built from, on every tier and at the edges.
 """
 
 from __future__ import annotations
@@ -30,7 +32,9 @@ from repro.core.batched import (
     stack_write_masks,
     supports,
 )
+from repro.core.packed import pack_write_masks
 from repro.core.registry import make_algorithm
+from repro.core.session import parse_algorithm_name
 from repro.core.vectorized import EVENT_KIND_ORDER
 from repro.costmodels import ConnectionCostModel, MessageCostModel
 from repro.engine import (
@@ -38,13 +42,14 @@ from repro.engine import (
     CounterInstrumentation,
     SweepExecutor,
     execute_batch,
+    kernel_arrays,
     run,
     run_batched_masks,
 )
 from repro.engine.base import RunSpec
 from repro.engine.parallel import EngineTask, ScheduleSpec
-from repro.exceptions import InvalidParameterError
-from repro.types import Schedule
+from repro.exceptions import InvalidParameterError, UnknownAlgorithmError
+from repro.types import AllocationScheme, Schedule
 
 MODEL = ConnectionCostModel()
 
@@ -275,3 +280,112 @@ class TestSweepExecutorBatching:
         assert counters.batches == 1
         assert counters.batched_runs == 3
         assert counters.runs == 3
+
+
+#: One name per kernel family.
+KERNEL_FAMILY_NAMES = ("st1", "st2", "sw1", "sw5", "t1_3", "t2_3")
+
+
+def _kernel_cases(carry_length):
+    """``(B, N, warmup)`` launches: warmup 0 and L, B = 0, N = 0 and
+    warmup == N."""
+    return [
+        (5, 37, 0),
+        (5, 37, carry_length),
+        (0, 37, 0),
+        (0, 37, carry_length),
+        (3, 0, 0),
+        (3, 11, 11),
+        (4, carry_length, carry_length),
+    ]
+
+
+class TestKernelArrays:
+    """The columnar entry against the per-row results and the reference
+    replay, on the unpacked and packed tiers, serial and threaded."""
+
+    @pytest.mark.parametrize("need_codes", [True, False])
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("packed", [False, True])
+    @pytest.mark.parametrize("algorithm_name", KERNEL_FAMILY_NAMES)
+    def test_columns_match_per_row_results(
+        self, algorithm_name, packed, threads, need_codes
+    ):
+        carry_length = parse_algorithm_name(algorithm_name).carry_length
+        rng = np.random.default_rng(len(algorithm_name) * 7 + threads)
+        for batch, length, warmup in _kernel_cases(carry_length):
+            thetas = rng.uniform(0.1, 0.9, size=(batch, 1))
+            writes = rng.random((batch, length)) < thetas
+            launch = pack_write_masks(writes) if packed else writes
+            arrays = kernel_arrays(
+                algorithm_name, launch, warmup=warmup,
+                need_codes=need_codes, threads=threads,
+            )
+            assert arrays.counts.shape == (batch, len(EVENT_KIND_ORDER))
+            assert arrays.counts.dtype == np.int64
+            assert arrays.flips.shape == (batch,)
+            if packed and not need_codes:
+                assert arrays.codes is None and arrays.copy_after is None
+            else:
+                assert arrays.codes.shape == (batch, length)
+                assert arrays.copy_after.shape == (batch, length)
+            results = run_batched_masks(
+                algorithm_name, launch, [MODEL] * batch, warmup=warmup,
+                stream=not need_codes, threads=threads,
+            )
+            assert len(results) == batch
+            for row, result in enumerate(results):
+                counts = {
+                    kind: int(count)
+                    for kind, count in zip(EVENT_KIND_ORDER,
+                                           arrays.counts[row])
+                    if count
+                }
+                assert counts == result.event_counts
+                assert int(arrays.flips[row]) == result.scheme_changes
+                reference = run(
+                    algorithm_name,
+                    Schedule.from_string(
+                        "".join("w" if bit else "r" for bit in writes[row])
+                    ),
+                    MODEL, backend="reference", stream=False, warmup=warmup,
+                )
+                assert counts == reference.event_counts
+                assert int(arrays.flips[row]) == reference.scheme_changes
+                if arrays.codes is None:
+                    continue
+                kinds = tuple(EVENT_KIND_ORDER[code]
+                              for code in arrays.codes[row])
+                schemes = tuple(
+                    AllocationScheme.TWO_COPIES if flag
+                    else AllocationScheme.ONE_COPY
+                    for flag in arrays.copy_after[row]
+                )
+                assert kinds == reference.event_kinds
+                assert schemes == reference.schemes
+                if need_codes:
+                    assert kinds == result.event_kinds
+                    assert schemes == result.schemes
+
+    @pytest.mark.parametrize("need_codes", [True, False])
+    @pytest.mark.parametrize("packed", [False, True])
+    def test_unoptimized_window_has_no_kernel(self, packed, need_codes):
+        """sw1-unoptimized (SWk with k = 1) is a session family without
+        a kernel: the columnar entry and the per-row entry both refuse
+        it on every tier."""
+        writes = np.random.default_rng(5).random((3, 9)) < 0.5
+        launch = pack_write_masks(writes) if packed else writes
+        with pytest.raises(UnknownAlgorithmError):
+            kernel_arrays("sw1-unoptimized", launch, need_codes=need_codes)
+        with pytest.raises(UnknownAlgorithmError):
+            run_batched_masks("sw1-unoptimized", launch, [MODEL] * 3,
+                              stream=not need_codes)
+
+    def test_rejects_bad_warmup_and_threads(self):
+        writes = np.zeros((2, 4), dtype=bool)
+        with pytest.raises(InvalidParameterError):
+            kernel_arrays("sw3", writes, warmup=-1)
+        with pytest.raises(InvalidParameterError):
+            kernel_arrays("sw3", writes, warmup=5)
+        with pytest.raises(InvalidParameterError):
+            kernel_arrays("sw3", writes, threads=0)

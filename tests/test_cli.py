@@ -124,6 +124,8 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "failover drills" in out
         assert "byte-identical" in out
+        for stage in ("admission", "drain", "verify", "wall", "end-to-end"):
+            assert f"\n{stage}" in out
 
     def test_trace_command(self, tmp_path, capsys):
         import numpy as np

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from repro.core.session import AllocationSession
 from repro.costmodels import ConnectionCostModel, MessageCostModel
 from repro.costmodels.base import CostEventKind
 from repro.engine import run as engine_run
+from repro.engine.base import total_from_counts
 from repro.exceptions import (
     InvalidParameterError,
     ServiceError,
@@ -15,6 +19,7 @@ from repro.exceptions import (
     UnknownAlgorithmError,
 )
 from repro.service import (
+    DEFAULT_ALGORITHMS,
     AllocationService,
     LoadGenerator,
     ServiceConfig,
@@ -63,6 +68,17 @@ class TestSessionLifecycle:
             service.open_session(_key(0), "bogus")
         with pytest.raises(UnknownAlgorithmError):
             service.open_session(_key(0), "ewma_20")
+
+    def test_kernelless_session_family_rejected_at_admission(self):
+        """sw1-unoptimized is session-hostable but has no kernel: it is
+        refused at open, not when a drain would fail to decide it."""
+        service = AllocationService(ServiceConfig(num_shards=1))
+        service.open_session(_key(1), "sw3")
+        with pytest.raises(UnknownAlgorithmError):
+            service.open_session(_key(0), "sw1-unoptimized")
+        assert service.session_count == 1
+        service.submit(_key(1), WRITE)
+        assert service.drain_all() == 1
 
     def test_submit_to_unopened_session_rejected(self):
         service = AllocationService()
@@ -121,6 +137,63 @@ class TestDecisions:
                 for kind, count in reference.event_counts.items()
             }
             assert info["event_counts"] == counts
+
+    def test_mixed_paths_match_session_feed_replay(self):
+        """submit, serve_one and submit_block interleaved over every
+        default family: each session's state equals feeding its own
+        operations one at a time to an AllocationSession."""
+        rng = np.random.default_rng(2024)
+        service = AllocationService(
+            ServiceConfig(num_shards=3, drain_threshold=8)
+        )
+        keys = [_key(i) for i in range(3 * len(DEFAULT_ALGORITHMS))]
+        models = {}
+        reference = {}
+        for index, key in enumerate(keys):
+            name = DEFAULT_ALGORITHMS[index % len(DEFAULT_ALGORITHMS)]
+            models[key] = MessageCostModel(0.1 * (index % 7))
+            service.open_session(key, name, models[key])
+            reference[key] = (AllocationSession.from_name(name), Counter())
+
+        def feed(key, write):
+            session, counts = reference[key]
+            decision = session.feed(WRITE if write else READ)
+            counts[decision.kind] += 1
+            return decision.kind
+
+        for phase in range(6):
+            for _ in range(40):
+                key = keys[int(rng.integers(len(keys)))]
+                write = bool(rng.random() < 0.4)
+                service.submit(key, WRITE if write else READ)
+                feed(key, write)
+            for _ in range(3):
+                key = keys[int(rng.integers(len(keys)))]
+                write = bool(rng.random() < 0.5)
+                assert service.serve_one(key, WRITE if write else READ) \
+                    == feed(key, write)
+            chosen = [keys[i] for i in rng.permutation(len(keys))[:10 + phase]]
+            matrix = rng.random((len(chosen), 1 + phase)) < 0.5
+            service.submit_block(service.plan_block(chosen), matrix)
+            for key, bits in zip(chosen, matrix):
+                for bit in bits:
+                    feed(key, bool(bit))
+        service.drain_all()
+
+        for key in keys:
+            session, counts = reference[key]
+            info = service.session_info(key)
+            assert info["decisions"] == sum(counts.values())
+            assert info["mobile_has_copy"] == session.mobile_has_copy
+            assert info["event_counts"] == {
+                kind.value: count for kind, count in counts.items()
+            }
+            assert info["total_cost"] == total_from_counts(
+                dict(counts), models[key]
+            )
+        service.audit()
+        assert service.replay_verify(len(keys))["sessions_replayed"] \
+            == len(keys)
 
     def test_replay_verify_passes_and_audit_conserves(self):
         service = AllocationService(ServiceConfig(num_shards=4))
@@ -248,6 +321,20 @@ class TestInstrumentation:
         assert not counters.dispatch_log  # bounded by construction
         summary = counters.summary()
         assert summary["drained_decisions"] == 60
+        # Engine-level tallies come from the per-launch hooks: one
+        # launch per (shard, algorithm) group, one run per session row.
+        launches = len({shard_of(key, 2) for key in keys})
+        assert counters.runs == 6
+        assert counters.backend_runs == {"vectorized": 6}
+        assert counters.batches == counters.shard_drains == launches
+        assert counters.batched_runs == 6
+        reads = Schedule.from_string("r" * 10)
+        solo = engine_run("sw3", reads, ConnectionCostModel())
+        expected = Counter()
+        for _ in keys:
+            expected.update(solo.event_counts)
+        assert counters.event_counts == expected
+        assert summary["runs"] == 6 and summary["batches"] == launches
 
     def test_metrics_reports_occupancy(self):
         service = AllocationService(ServiceConfig(num_shards=4))
@@ -320,6 +407,20 @@ class TestSelfTest:
         assert report["replay"]["sessions_replayed"] == 8
         assert report["decisions_per_sec"] > 0
         assert report["failover"] is None
+
+    def test_self_test_reports_stages_and_wall(self):
+        report = run_self_test(
+            300, rounds=2, ops_per_round=5, num_shards=4, replay_sample=4
+        )
+        stages = (report["admission_seconds"] + report["elapsed_seconds"]
+                  + report["verify_seconds"])
+        assert 0 < stages <= report["wall_seconds"]
+        assert report["wall_decisions_per_sec"] == pytest.approx(
+            report["decisions"] / report["wall_seconds"]
+        )
+        # The drain-only rate is the gated headline; the wall rate
+        # covers admission and verification too, so it is lower.
+        assert report["wall_decisions_per_sec"] < report["decisions_per_sec"]
 
     def test_self_test_with_replicas_drills_failover(self):
         report = run_self_test(
